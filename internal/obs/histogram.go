@@ -101,8 +101,9 @@ func (h Histogram) Mean() float64 {
 
 // Quantile returns an upper bound on the q-quantile (0 < q <= 1) of the
 // observations: the smallest bucket bound at which the cumulative count
-// reaches q, or Max for observations past the last bound. It is a
-// bucket-resolution estimate, good enough for dashboards and tuning.
+// reaches q, clamped to Max (no observation exceeds it), or Max for
+// observations past the last bound. It is a bucket-resolution estimate,
+// good enough for dashboards and tuning.
 func (h Histogram) Quantile(q float64) float64 {
 	if h.Count == 0 || q <= 0 {
 		return 0
@@ -115,7 +116,7 @@ func (h Histogram) Quantile(q float64) float64 {
 	for i, c := range h.Counts {
 		cum += c
 		if cum >= target {
-			if i < len(h.UpperBounds) {
+			if i < len(h.UpperBounds) && h.UpperBounds[i] < h.Max {
 				return h.UpperBounds[i]
 			}
 			return h.Max

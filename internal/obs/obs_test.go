@@ -30,6 +30,19 @@ func TestHistogramQuantileAndString(t *testing.T) {
 	if got := h.Quantile(0); got != 0 {
 		t.Fatalf("Quantile(0) = %v, want 0", got)
 	}
+	// A bucket bound past every observation is clamped to Max: the p99 of
+	// these samples lies in the (0.001, 0.025] bucket, but nothing above
+	// 0.0104 was ever observed.
+	low := NewHistogram([]float64{0.001, 0.025})
+	for _, v := range []float64{0.0005, 0.0008, 0.0104} {
+		low.Observe(v)
+	}
+	if got := low.Quantile(0.99); got != 0.0104 {
+		t.Fatalf("Quantile(0.99) = %v, want Max 0.0104", got)
+	}
+	if got := low.Quantile(0.5); got != 0.001 {
+		t.Fatalf("Quantile(0.5) = %v, want bucket bound 0.001", got)
+	}
 	s := h.String()
 	for _, want := range []string{"<=1:2", "<=2:2", "<=4:1", ">4:2", "(count 7)"} {
 		if !strings.Contains(s, want) {

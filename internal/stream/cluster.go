@@ -82,19 +82,28 @@ func (e *Engine) WindowClaims() int64 { return e.windowClaims.Load() }
 // window (which some other worker's claims made non-empty) is closing.
 // Callers gate the overall empty case with HasLiveStats first.
 func (e *Engine) CloseWindowExport() (*EngineState, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return nil, ErrEngineClosed
-	}
-	release := e.pauseShards()
-	defer close(release)
-
-	st, err := e.exportStateLocked()
+	c, err := e.closeWindowCapture()
 	if err != nil {
 		return nil, err
 	}
-	st.WindowClaims = e.windowClaims.Load()
+	return c.finish(), nil
+}
+
+// closeWindowCapture is the paused half of CloseWindowExport: it copies
+// the export, then decays and advances. The captured rows are values, so
+// the decay does not reach them, and the export is resolved and sorted
+// after ingestion resumes.
+func (e *Engine) closeWindowCapture() (*exportCapture, error) {
+	resume, err := e.pauseIngest(pauseClose)
+	if err != nil {
+		return nil, err
+	}
+	defer resume()
+
+	c, err := e.captureExportLocked()
+	if err != nil {
+		return nil, err
+	}
 	if e.cfg.Decay < 1 {
 		e.eachShardParallel(func(s *shard) { s.decay(e.cfg.Decay) })
 	}
@@ -103,7 +112,7 @@ func (e *Engine) CloseWindowExport() (*EngineState, error) {
 	// Eviction is deferred to CommitCarry: the users in this export must
 	// stay resident until the merged carry weights come back, or the
 	// commit would have nothing to apply them to.
-	return st, nil
+	return c, nil
 }
 
 // ExportCarry reads every resident user's carry weight and private

@@ -24,6 +24,18 @@ var (
 	estimateIterationBounds = []float64{1, 2, 3, 5, 8, 13, 21, 34, 55, 100}
 )
 
+// pausePhase labels pptd_stream_ingest_pause_seconds: a window close
+// (CloseWindow, or a cluster worker's CloseWindowExport) or the locked
+// copy of a state export.
+type pausePhase int
+
+const (
+	pauseClose pausePhase = iota
+	pauseExport
+)
+
+var pausePhaseNames = [...]string{pauseClose: "close", pauseExport: "export"}
+
 // engineMetrics holds the engine's registry instruments. A nil
 // *engineMetrics (no Config.Metrics) is valid and makes every method a
 // no-op, so the hot path carries no conditionals beyond one nil check.
@@ -35,6 +47,7 @@ type engineMetrics struct {
 	cumEps           *obs.HistogramMetric
 	estimateIters    *obs.HistogramMetric
 	estimateDuration *obs.HistogramMetric
+	pause            [len(pausePhaseNames)]*obs.HistogramMetric
 	usersEvicted     *obs.Counter
 	usersReadmitted  *obs.Counter
 	spillFailures    *obs.Counter
@@ -44,7 +57,7 @@ func newEngineMetrics(reg *obs.Registry, estimator string) *engineMetrics {
 	if reg == nil {
 		return nil
 	}
-	return &engineMetrics{
+	m := &engineMetrics{
 		estimateIters: reg.Histogram("pptd_stream_estimate_iterations",
 			"Iterations per estimation run, labeled by the configured estimator.",
 			estimateIterationBounds, "estimator", estimator),
@@ -75,6 +88,13 @@ func newEngineMetrics(reg *obs.Registry, estimator string) *engineMetrics {
 			"Eviction rounds abandoned because the spill could not be made "+
 				"durable; the users stayed resident and the next close retries."),
 	}
+	for p, name := range pausePhaseNames {
+		m.pause[p] = reg.Histogram("pptd_stream_ingest_pause_seconds",
+			"Wall time ingestion is held paused (window lock exclusive, shards "+
+				"quiesced), by phase: a window close, or the locked copy of a state export.",
+			closeDurationBounds, "phase", name)
+	}
+	return m
 }
 
 // registerEngineGauges exposes the live queue and population gauges;
@@ -146,6 +166,13 @@ func (m *engineMetrics) windowClosed(elapsed time.Duration) {
 	if m != nil {
 		m.windowsClosed.Inc()
 		m.closeDuration.Observe(elapsed.Seconds())
+	}
+}
+
+// paused records one ingest pause of the given phase.
+func (m *engineMetrics) paused(phase pausePhase, elapsed time.Duration) {
+	if m != nil {
+		m.pause[phase].Observe(elapsed.Seconds())
 	}
 }
 

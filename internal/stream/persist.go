@@ -1,11 +1,13 @@
 package stream
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // ErrBadState reports an EngineState that cannot be restored: it is
@@ -216,21 +218,54 @@ func (st *EngineState) ReplayCharges(recs []ChargeRecord) int {
 // the shards) and copies the window counter, claim counters, user
 // registry, and every live sufficient statistic. The returned state is
 // independent of the engine and safe to serialize.
+//
+// Only the copy runs under the pause (exported as the phase="export"
+// series of pptd_stream_ingest_pause_seconds); resolving user IDs and
+// sorting the statistics happen after ingestion has resumed.
 func (e *Engine) ExportState() (*EngineState, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return nil, ErrEngineClosed
+	c, err := e.captureExport()
+	if err != nil {
+		return nil, err
 	}
-	release := e.pauseShards()
-	defer close(release)
-	return e.exportStateLocked()
+	return c.finish(), nil
 }
 
-// exportStateLocked builds the state export. Callers must hold e.mu
-// exclusively with the shards paused (ExportState and the cluster-close
-// path CloseWindowExport both funnel through here).
-func (e *Engine) exportStateLocked() (*EngineState, error) {
+// captureExport is the paused half of ExportState.
+func (e *Engine) captureExport() (*exportCapture, error) {
+	resume, err := e.pauseIngest(pauseExport)
+	if err != nil {
+		return nil, err
+	}
+	defer resume()
+	return e.captureExportLocked()
+}
+
+// exportCapture is an engine export as copied under the pause: the state
+// minus its statistics, plus the statistics as raw (object, slot) rows
+// and the slot -> ID table that resolves them. finish turns it into the
+// EngineState without touching the engine.
+type exportCapture struct {
+	st    *EngineState
+	ids   []string
+	stats []statRow
+}
+
+// statRow is one captured sufficient statistic. user holds the
+// registry slot until finish replaces it with the slot's rank in ID
+// order.
+type statRow struct {
+	object int
+	user   int
+	sum    float64
+	mass   float64
+}
+
+// captureExportLocked copies everything a state export needs out of the
+// engine. Callers must hold e.mu exclusively with the shards paused
+// (ExportState and the cluster-close path CloseWindowExport both funnel
+// through here); the shards are copied in parallel into disjoint ranges
+// of one slice.
+func (e *Engine) captureExportLocked() (*exportCapture, error) {
 	st := &EngineState{
 		NumObjects:   e.cfg.NumObjects,
 		Window:       e.window,
@@ -245,25 +280,56 @@ func (e *Engine) exportStateLocked() (*EngineState, error) {
 		return nil, err
 	}
 	st.EstimatorState = estState
-	for _, s := range e.shards {
+	offsets := make([]int, len(e.shards)+1)
+	for i, s := range e.shards {
+		n := 0
+		for _, users := range s.stats {
+			n += len(users)
+		}
+		offsets[i+1] = offsets[i] + n
+	}
+	rows := make([]statRow, offsets[len(e.shards)])
+	e.eachShardParallelIndexed(func(i int, s *shard) {
+		out := rows[offsets[i]:offsets[i]:offsets[i+1]]
 		for obj, users := range s.stats {
 			for user, stat := range users {
-				st.Stats = append(st.Stats, StatSnapshot{
-					Object: obj,
-					User:   ids[user],
-					Sum:    stat.sum,
-					Mass:   stat.mass,
-				})
+				out = append(out, statRow{object: obj, user: user, sum: stat.sum, mass: stat.mass})
 			}
 		}
-	}
-	sort.Slice(st.Stats, func(i, j int) bool {
-		if st.Stats[i].Object != st.Stats[j].Object {
-			return st.Stats[i].Object < st.Stats[j].Object
-		}
-		return st.Stats[i].User < st.Stats[j].User
 	})
-	return st, nil
+	return &exportCapture{st: st, ids: ids, stats: rows}, nil
+}
+
+// finish resolves the captured statistics to user IDs in the canonical
+// (object, user ID) order. The user IDs are ranked once, so the sort over
+// every statistic compares integers rather than strings; IDs are unique,
+// so the order is the one a string comparison would give.
+func (c *exportCapture) finish() *EngineState {
+	slotsByID := make([]int, len(c.ids))
+	for i := range slotsByID {
+		slotsByID[i] = i
+	}
+	slices.SortFunc(slotsByID, func(a, b int) int { return strings.Compare(c.ids[a], c.ids[b]) })
+	rank := make([]int, len(c.ids))
+	for r, slot := range slotsByID {
+		rank[slot] = r
+	}
+	for i := range c.stats {
+		c.stats[i].user = rank[c.stats[i].user]
+	}
+	slices.SortFunc(c.stats, func(a, b statRow) int {
+		if a.object != b.object {
+			return cmp.Compare(a.object, b.object)
+		}
+		return cmp.Compare(a.user, b.user)
+	})
+	if len(c.stats) > 0 { // no live statistics export as nil ("stats":null)
+		c.st.Stats = make([]StatSnapshot, len(c.stats))
+	}
+	for i, r := range c.stats {
+		c.st.Stats[i] = StatSnapshot{Object: r.object, User: c.ids[slotsByID[r.user]], Sum: r.sum, Mass: r.mass}
+	}
+	return c.st
 }
 
 // Restore loads an exported state into a freshly constructed engine

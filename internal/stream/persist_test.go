@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"pptd/internal/randx"
@@ -531,5 +533,132 @@ func TestRestoreValidation(t *testing.T) {
 	}
 	if err := closed.Restore(&EngineState{}); !errors.Is(err, ErrEngineClosed) {
 		t.Errorf("Restore after Close = %v", err)
+	}
+}
+
+// referenceExport is the straightforward export the split capture/finish
+// path must reproduce: everything copied under the pause, statistics
+// keyed by user ID and sorted by (object, user ID) with string
+// comparisons.
+func referenceExport(e *Engine) (*EngineState, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	release := e.pauseShards()
+	defer close(release)
+	ids := e.users.ids()
+	estState, err := e.est.exportState(ids)
+	if err != nil {
+		return nil, err
+	}
+	st := &EngineState{
+		NumObjects:     e.cfg.NumObjects,
+		Window:         e.window,
+		WindowClaims:   e.windowClaims.Load(),
+		TotalClaims:    e.totalClaims.Load(),
+		Users:          e.users.export(),
+		Estimator:      e.cfg.Estimator,
+		EstimatorState: estState,
+	}
+	for _, s := range e.shards {
+		for obj, users := range s.stats {
+			for user, stat := range users {
+				st.Stats = append(st.Stats, StatSnapshot{Object: obj, User: ids[user], Sum: stat.sum, Mass: stat.mass})
+			}
+		}
+	}
+	sort.Slice(st.Stats, func(i, j int) bool {
+		if st.Stats[i].Object != st.Stats[j].Object {
+			return st.Stats[i].Object < st.Stats[j].Object
+		}
+		return st.Stats[i].User < st.Stats[j].User
+	})
+	return st, nil
+}
+
+// TestExportStateMatchesReference pins the export to the reference on a
+// randomized engine whose registry has evicted-slot holes and recycles
+// slots, so slot order and user-ID order disagree: the captured rows are
+// ranked by ID after the pause, and the result must equal the reference
+// field for field, row order included.
+func TestExportStateMatchesReference(t *testing.T) {
+	for _, est := range estimatorsUnderTest(t) {
+		for _, seed := range []uint64{2, 5, 11} {
+			est, seed := est, seed
+			t.Run(fmt.Sprintf("%s/seed-%d", est, seed), func(t *testing.T) {
+				const numObjects = 9
+				e, err := New(Config{
+					NumObjects:       numObjects,
+					NumShards:        3,
+					Estimator:        est,
+					Decay:            churnDecay,
+					MaxResidentUsers: 4,
+					UserStore:        newMemUserStore(),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() { _ = e.Close() }()
+				rng := randx.New(seed)
+				pool := make([]string, 40)
+				for i := range pool {
+					pool[i] = fmt.Sprintf("dev-%08x", rng.Intn(1<<30))
+				}
+				ingestSome := func(n int) {
+					for _, i := range rng.Perm(len(pool))[:n] {
+						var claims []Claim
+						for obj := 0; obj < numObjects; obj++ {
+							if rng.Float64() < 0.5 {
+								claims = append(claims, Claim{Object: obj, Value: 10*rng.Float64() - 5})
+							}
+						}
+						if len(claims) == 0 {
+							claims = []Claim{{Object: rng.Intn(numObjects), Value: rng.Norm()}}
+						}
+						if _, _, err := e.Ingest(pool[i], claims); err != nil {
+							t.Fatalf("ingest %s: %v", pool[i], err)
+						}
+					}
+				}
+				for w := 0; w < 4; w++ {
+					ingestSome(10 + rng.Intn(20))
+					if _, err := e.CloseWindow(); err != nil {
+						t.Fatalf("close %d: %v", w, err)
+					}
+				}
+				ingestSome(6) // fewer admissions than free slots: holes stay
+
+				ids := e.users.ids()
+				holes, inversions := 0, 0
+				prev := ""
+				for _, id := range ids {
+					if id == "" {
+						holes++
+						continue
+					}
+					if id < prev {
+						inversions++
+					}
+					prev = id
+				}
+				if holes == 0 || inversions == 0 {
+					t.Fatalf("registry has %d holes and %d slot-order inversions; want both > 0", holes, inversions)
+				}
+
+				want, err := referenceExport(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := e.ExportState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want.Stats) == 0 {
+					t.Fatal("reference export has no statistics")
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("export differs from reference:\n got  %+v\n want %+v", got, want)
+				}
+			})
+		}
 	}
 }

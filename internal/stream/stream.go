@@ -594,13 +594,11 @@ func (e *Engine) ingest(user string, key []byte, claims []Claim) (int, int, erro
 // retained for Snapshot.
 func (e *Engine) CloseWindow() (*WindowResult, error) {
 	start := time.Now()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return nil, ErrEngineClosed
+	resume, err := e.pauseIngest(pauseClose)
+	if err != nil {
+		return nil, err
 	}
-	release := e.pauseShards()
-	defer close(release)
+	defer resume()
 
 	res, err := e.estimateLocked()
 	if err != nil {
@@ -768,6 +766,25 @@ func (e *Engine) pauseShards() chan struct{} {
 		<-ack
 	}
 	return release
+}
+
+// pauseIngest takes the window lock exclusively and pauses the shards,
+// returning the function that resumes ingestion and records the pause
+// under phase in pptd_stream_ingest_pause_seconds. The pause is timed
+// from the lock request: new ingestion queues behind it from then on.
+func (e *Engine) pauseIngest(phase pausePhase) (resume func(), err error) {
+	start := time.Now()
+	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
+		return nil, ErrEngineClosed
+	}
+	release := e.pauseShards()
+	return func() {
+		close(release)
+		e.metrics.paused(phase, time.Since(start))
+		e.mu.Unlock()
+	}, nil
 }
 
 // eachShardParallel runs fn once per shard on its own goroutine and

@@ -211,15 +211,20 @@ func (s *Store) SaveBatchResult(payload []byte) error {
 	if len(payload) == 0 {
 		return fmt.Errorf("streamstore: empty batch result")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	env, err := encodeEnvelope(json.RawMessage(payload), nil)
+	if err != nil {
+		return fmt.Errorf("streamstore: encode batch result: %w", err)
 	}
-	if err := s.writeEnvelopeLocked("batch result", batchResultName, batchResultTmpName, payload, nil); err != nil {
+	if err := s.lockWriter(); err != nil {
 		return err
 	}
+	defer s.fileMu.Unlock()
+	if err := s.writeEnvelope("batch result", batchResultName, batchResultTmpName, env); err != nil {
+		return err
+	}
+	s.mu.Lock()
 	s.resultsSaved++
+	s.mu.Unlock()
 	return nil
 }
 

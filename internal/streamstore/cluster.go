@@ -64,16 +64,15 @@ func (s *Store) SaveClusterClose(cs *ClusterCloseState) error {
 	if cs == nil || cs.State == nil {
 		return errors.New("streamstore: nil cluster close state")
 	}
-	body, err := json.Marshal(cs)
+	env, err := encodeEnvelope(cs, nil)
 	if err != nil {
 		return fmt.Errorf("streamstore: encode cluster close: %w", err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	if err := s.lockWriter(); err != nil {
+		return err
 	}
-	return s.writeEnvelopeLocked("cluster close", clusterCloseName, clusterCloseTmpName, body, nil)
+	defer s.fileMu.Unlock()
+	return s.writeEnvelope("cluster close", clusterCloseName, clusterCloseTmpName, env)
 }
 
 // LoadClusterClose returns the persisted cluster-close record, or nil

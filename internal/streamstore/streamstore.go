@@ -72,6 +72,7 @@
 package streamstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -233,6 +234,14 @@ type Store struct {
 	// across I/O, so joining a batch stays cheap under contention.
 	commitMu sync.Mutex
 	pending  *commitBatch
+
+	// fileMu serializes the enveloped-file writers (snapshot, results,
+	// cluster-close record, batch result) through their whole sequence. The temp file
+	// is created, written, fsync'd and closed under fileMu alone, so
+	// group commit never waits behind that I/O; only the steps that touch
+	// shared state (rotation, rename, directory fsync, counters,
+	// compaction) also take mu. Lock order is fileMu before mu.
+	fileMu sync.Mutex
 
 	mu   sync.Mutex
 	lock *os.File
@@ -461,19 +470,26 @@ func (s *Store) WriteSnapshot(st *stream.EngineState, covered JournalPos) error 
 	if st == nil {
 		return errors.New("streamstore: nil engine state")
 	}
-	body, err := json.Marshal(st)
+	env, err := encodeEnvelope(st, &covered)
 	if err != nil {
 		return fmt.Errorf("streamstore: encode snapshot: %w", err)
 	}
+	if err := s.lockWriter(); err != nil {
+		return err
+	}
+	defer s.fileMu.Unlock()
+	if s.opts.RetainSnapshots > 0 {
+		s.mu.Lock()
+		s.rotateSnapshotsLocked()
+		s.mu.Unlock()
+	}
+	tmp, err := s.writeTemp("snapshot", snapshotTmpName, env)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.opts.RetainSnapshots > 0 {
-		s.rotateSnapshotsLocked()
-	}
-	if err := s.writeEnvelopeLocked("snapshot", snapshotName, snapshotTmpName, body, &covered); err != nil {
+	if err := s.publishLocked("snapshot", tmp, snapshotName); err != nil {
 		return err
 	}
 	s.snapshots++
@@ -501,26 +517,29 @@ func (s *Store) SaveResult(res *stream.WindowResult) error {
 			cp.Truths[i] = v
 		}
 	}
-	body, err := json.Marshal(&cp)
+	env, err := encodeEnvelope(&cp, nil)
 	if err != nil {
 		return fmt.Errorf("streamstore: encode result: %w", err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.opts.ResultHistory > 1 {
-		name := resultHistoryName(res.Window)
-		if err := s.writeEnvelopeLocked("result history", name, name+".tmp", body, nil); err != nil {
-			return err
-		}
-		s.pruneResultHistoryLocked(res.Window)
-	}
-	if err := s.writeEnvelopeLocked("result", resultName, resultTmpName, body, nil); err != nil {
+	if err := s.lockWriter(); err != nil {
 		return err
 	}
+	defer s.fileMu.Unlock()
+	if s.opts.ResultHistory > 1 {
+		name := resultHistoryName(res.Window)
+		if err := s.writeEnvelope("result history", name, name+".tmp", env); err != nil {
+			return err
+		}
+		s.mu.Lock()
+		s.pruneResultHistoryLocked(res.Window)
+		s.mu.Unlock()
+	}
+	if err := s.writeEnvelope("result", resultName, resultTmpName, env); err != nil {
+		return err
+	}
+	s.mu.Lock()
 	s.resultsSaved++
+	s.mu.Unlock()
 	return nil
 }
 
@@ -630,40 +649,97 @@ func (s *Store) LoadResultHistory() ([]*stream.WindowResult, error) {
 	return out, nil
 }
 
-// writeEnvelopeLocked writes payload under a checksummed envelope with
-// the atomic temp/fsync/rename/dir-fsync sequence. covered, when
-// non-nil, records the journal position a snapshot subsumes. Callers
-// must hold s.mu.
-func (s *Store) writeEnvelopeLocked(what, name, tmpName string, payload []byte, covered *JournalPos) error {
+// envelopeHeaderMax bounds the envelope's header — everything before the
+// payload: version, checksum, and a covered position of two int64s fit
+// in well under it.
+const envelopeHeaderMax = 128
+
+// encodeEnvelope marshals v and wraps it in a checksummed envelope,
+// byte-for-byte what json.Marshal(envelope{...}) produces over
+// json.Marshal(v) as State. The payload is encoded once, after a
+// reserved gap that the header is then written into, so the envelope is
+// built without a second copy of the payload and without re-validating
+// it: json.Marshal output is already compact and HTML-escaped, which is
+// all the envelope's Marshal would do to a json.RawMessage.
+func encodeEnvelope(v any, covered *JournalPos) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Write(make([]byte, envelopeHeaderMax))
+	// An Encoder writes exactly json.Marshal's bytes plus a newline, which
+	// becomes the envelope's closing brace.
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, err
+	}
+	b := buf.Bytes()
+	payload := b[envelopeHeaderMax : len(b)-1]
 	version := envelopeVersion
 	if covered != nil {
 		version = segmentedSnapshotVersion
 	}
-	env, err := json.Marshal(envelope{
-		Version: version,
-		CRC32:   fmt.Sprintf("%08x", crc32.ChecksumIEEE(payload)),
-		Covered: covered,
-		State:   payload,
-	})
-	if err != nil {
-		return fmt.Errorf("streamstore: encode %s envelope: %w", what, err)
+	header := fmt.Appendf(nil, `{"version":%d,"crc32":"%08x",`, version, crc32.ChecksumIEEE(payload))
+	if covered != nil {
+		header = fmt.Appendf(header, `"covered":{"seq":%d,"off":%d},`, covered.Seq, covered.Off)
 	}
+	header = append(header, `"state":`...)
+	start := envelopeHeaderMax - len(header)
+	copy(b[start:], header)
+	b[len(b)-1] = '}'
+	return b[start:], nil
+}
+
+// lockWriter takes fileMu for one enveloped-file write, failing with
+// ErrClosed (and fileMu released) when the store is closed. Close waits
+// on fileMu, so the store stays open until the caller unlocks it.
+func (s *Store) lockWriter() error {
+	s.fileMu.Lock()
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		s.fileMu.Unlock()
+		return ErrClosed
+	}
+	return nil
+}
+
+// writeEnvelope publishes an encoded envelope under name with the atomic
+// temp/fsync/rename/dir-fsync sequence. Callers hold s.fileMu and not
+// s.mu, which is taken for the rename only.
+func (s *Store) writeEnvelope(what, name, tmpName string, env []byte) error {
+	tmp, err := s.writeTemp(what, tmpName, env)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.publishLocked(what, tmp, name)
+}
+
+// writeTemp creates tmpName in the state directory and makes env durable
+// in it, returning its path. Callers hold s.fileMu and not s.mu.
+func (s *Store) writeTemp(what, tmpName string, env []byte) (string, error) {
 	tmp := filepath.Join(s.dir, tmpName)
 	f, err := s.fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return fmt.Errorf("streamstore: create %s temp: %w", what, err)
+		return "", fmt.Errorf("streamstore: create %s temp: %w", what, err)
 	}
 	if _, err := f.Write(env); err != nil {
 		_ = f.Close()
-		return fmt.Errorf("streamstore: write %s: %w", what, err)
+		return "", fmt.Errorf("streamstore: write %s: %w", what, err)
 	}
 	if err := f.Sync(); err != nil {
 		_ = f.Close()
-		return fmt.Errorf("streamstore: sync %s: %w", what, err)
+		return "", fmt.Errorf("streamstore: sync %s: %w", what, err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("streamstore: close %s temp: %w", what, err)
+		return "", fmt.Errorf("streamstore: close %s temp: %w", what, err)
 	}
+	return tmp, nil
+}
+
+// publishLocked renames a durable temp file over name and fsyncs the
+// directory, so a crash leaves either the old file or the new one.
+// Callers hold s.fileMu and s.mu.
+func (s *Store) publishLocked(what, tmp, name string) error {
 	if err := s.fs.Rename(tmp, filepath.Join(s.dir, name)); err != nil {
 		return fmt.Errorf("streamstore: publish %s: %w", what, err)
 	}
@@ -843,6 +919,9 @@ func readEnvelope(fsys storefs.FS, path string, corruptErr error) ([]byte, Journ
 // Close releases the journal handle and the directory lock. Appends and
 // loads fail afterwards.
 func (s *Store) Close() error {
+	// An in-flight enveloped-file write finishes first.
+	s.fileMu.Lock()
+	defer s.fileMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {

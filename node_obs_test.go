@@ -192,6 +192,10 @@ func TestNodeMetricsRoundTrip(t *testing.T) {
 	mustValue(2, "pptd_stream_claims_ingested_total")
 	mustValue(1, "pptd_stream_windows_closed_total")
 	mustValue(1, "pptd_stream_tracked_users")
+	// The close paused ingestion once, and the durable node's post-close
+	// snapshot paused it once more for the export's locked copy.
+	mustValue(1, "pptd_stream_ingest_pause_seconds_count", "phase", "close")
+	mustValue(1, "pptd_stream_ingest_pause_seconds_count", "phase", "export")
 	mustValue(1, "pptd_errors_total", "code", "not_ready")
 	mustValue(1, "pptd_errors_total", "code", "not_found")
 	mustValue(1, "pptd_errors_total", "code", "method_not_allowed")
